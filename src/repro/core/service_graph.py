@@ -166,13 +166,37 @@ class ServiceGraph:
         return QoSVector(metrics)
 
     def end_to_end_qos(self, overlay: Overlay) -> QoSVector:
-        """Metric-wise maximum over branch paths (the worst branch rules)."""
-        result: Optional[QoSVector] = None
+        """Metric-wise maximum over branch paths (the worst branch rules).
+
+        Branches share most of their hops, so each distinct hop is looked
+        up once per call; every branch is summed in :meth:`branch_qos`'s
+        order (links, then Qp), so the result is the same bit for bit."""
+        peer = {f: m.peer for f, m in self.assignment.items()}
+        qp = {
+            f: (m.qp.values.get("delay", 0.0), m.qp.values.get("loss", 0.0))
+            for f, m in self.assignment.items()
+        }
+        hop_qos: Dict[Tuple[int, int], Tuple[float, float]] = {}
+        worst_delay = worst_loss = -math.inf
         for branch in self.pattern.branches():
-            q = self.branch_qos(overlay, branch)
-            result = q if result is None else result.elementwise_max(q)
-        assert result is not None  # validated non-empty pattern
-        return result
+            delay = loss = 0.0
+            u = self.source_peer
+            for v in [peer[f] for f in branch] + [self.dest_peer]:
+                if u != v:
+                    hop = hop_qos.get((u, v))
+                    if hop is None:
+                        hop = (overlay.latency(u, v), overlay.path_loss_add(u, v))
+                        hop_qos[(u, v)] = hop
+                    delay += hop[0]
+                    loss += hop[1]
+                u = v
+            for f in branch:
+                qp_delay, qp_loss = qp[f]
+                delay += qp_delay
+                loss += qp_loss
+            worst_delay = max(worst_delay, delay)
+            worst_loss = max(worst_loss, loss)
+        return QoSVector({"delay": worst_delay, "loss": worst_loss})
 
     # ------------------------------------------------------------------
     # failure probability

@@ -331,6 +331,8 @@ class DecompositionComposer(CompositionStrategy):
                     feasible = False
                     break
                 undos.append(undo)
+                # PatternState checks QoS incrementally: the check must
+                # follow every assign, not just the segment's last one
                 if not state.qos_feasible():
                     counters.incr("pruned_qos")
                     feasible = False

@@ -13,7 +13,14 @@ could contain a strictly better solution):
   QoS (links + component Qp); the remaining functions contribute at
   least the sum of their per-function minimum Qp plus the cheapest
   last-hop to the destination.  If prefix + remainder already violates
-  ``Qreq``, every completion violates it too.
+  ``Qreq``, every completion violates it too.  Branches share their
+  prefixes, so the state keeps one worst-prefix value per function
+  (``worst[fn] = max over preds p of worst[p] + hop``) instead of one
+  sum per branch: an assign costs one hop per predecessor, not one per
+  branch through the function, and — rounded addition being monotone —
+  every bound and prune decision is bit-identical to the per-branch
+  sums.  The bound is checked incrementally, so ``qos_feasible`` must
+  follow every ``assign``.
 * **Cost lower bound** — the assigned prefix contributes its exact ψλ
   terms (mirroring :func:`~repro.core.cost.psi_cost` term by term); the
   unassigned functions contribute at least their minimum resource term.
@@ -193,29 +200,45 @@ class _NodeLimit(Exception):
     """Internal: the expansion budget ran out mid-search."""
 
 
-@dataclass
-class _Undo:
-    fn: str
-    branch_updates: List[Tuple[int, float, float, int]]  # (b, d_delay, d_loss, prev_next)
-    cost_delta: float
-    rem_res_delta: float
+_Undo = Tuple[str, float, float]  # (fn, partial_cost, rem_res) before the assign
 
 
 class PatternState:
     """A partial component assignment over one composition pattern.
 
-    Functions are assigned strictly in topological order (callers may
-    assign one at a time, or whole consecutive segments).  The state
-    keeps, incrementally:
+    Functions are assigned in a topological order (callers may assign
+    one at a time, or whole consecutive segments; any topological order
+    extends every branch path front to back).  The state keeps,
+    incrementally:
 
     * exact ψλ terms of the assigned prefix (component resource terms +
       every service link whose bandwidth is already determined),
-    * exact per-branch QoS prefixes (link delay/loss + component Qp),
-    * admissible remainders (suffix minima of Qp per branch + cheapest
-      final hop; minimum resource term per unassigned function).
+    * the exact worst-prefix QoS of every assigned function: the max,
+      over all source→fn paths, of the path's link delay/loss +
+      component Qp, summed front to back as a per-branch sum would be
+      (``d_p`` = Qp, then the link from predecessor ``p``'s peer, then
+      the final hop on a sink),
+    * admissible remainders (the worst suffix of Qp minima + cheapest
+      final hop behind each function; minimum resource term per
+      unassigned function).
+
+    Worst-prefix values of unassigned functions are stale and never
+    read; the next assign overwrites them.  ``unassign`` restores only
+    the cost scalars, from the undo token, so they never drift.
+
+    Hop (latency, loss) is memoized for the state's lifetime, and the
+    candidates' resource terms were scored against ``pool``: neither
+    ``overlay`` nor ``pool`` may change while a state is alive (the
+    composers reserve only after the search has returned).
 
     ``assign`` returns an undo token or ``None`` when the extension is
     immediately infeasible (quality mismatch or exhausted link).
+
+    **Contract:** call :meth:`qos_feasible` after every successful
+    ``assign`` and extend no further when it returns False.  It checks
+    only the function just assigned (and the constant empty-prefix
+    bound): every other branch frontier passed its check when it was
+    assigned and has not changed since.
     """
 
     def __init__(
@@ -236,23 +259,19 @@ class PatternState:
         self.weights = weights
         self.counters = counters
         self.order: List[str] = pattern.topological_order()
-        self.branches: List[Tuple[str, ...]] = pattern.branches()
         self.sources = set(pattern.sources())
         self.sinks = set(pattern.sinks())
-        # fn -> [(branch index, position)]
-        self.membership: Dict[str, List[Tuple[int, int]]] = {f: [] for f in self.order}
-        for b, branch in enumerate(self.branches):
-            for j, fn in enumerate(branch):
-                self.membership[fn].append((b, j))
+        # (u, v) -> (latency, additive loss) of the overlay path u→v
+        self._hops: Dict[Tuple[int, int], Tuple[float, float]] = {}
         self._build_bounds()
         # mutable search state
         self.assignment: Dict[str, Candidate] = {}
         self.rates: Dict[str, Tuple[float, float]] = {}
-        self.acc_delay = [0.0] * len(self.branches)
-        self.acc_loss = [0.0] * len(self.branches)
-        self.next_pos = [0] * len(self.branches)
+        self.worst_delay: Dict[str, float] = {}
+        self.worst_loss: Dict[str, float] = {}
         self.partial_cost = 0.0
-        self.rem_res = sum(min(c.res_term for c in candidates[f]) for f in self.order)
+        self.rem_res = sum(self.min_res[f] for f in self.order)
+        self._feasible = self._root_feasible  # verdict of the latest assign
 
     # ------------------------------------------------------------------
     def _build_bounds(self) -> None:
@@ -275,34 +294,60 @@ class PatternState:
                 if c.meta.peer == dest:
                     dd, dl = 0.0, 0.0
                     break
-                dd = min(dd, self.overlay.latency(c.meta.peer, dest))
-                dl = min(dl, self.overlay.path_loss_add(c.meta.peer, dest))
+                lat, loss = self._hop(c.meta.peer, dest)
+                dd = min(dd, lat)
+                dl = min(dl, loss)
             dest_min_delay[fn] = dd
             dest_min_loss[fn] = dl
-        # suffix_delay[b][j] = admissible QoS still to come once positions
-        # < j are assigned (suffix Qp minima + the cheapest final hop)
-        self.suffix_delay: List[List[float]] = []
-        self.suffix_loss: List[List[float]] = []
-        for branch in self.branches:
-            sd = [0.0] * (len(branch) + 1)
-            sl = [0.0] * (len(branch) + 1)
-            sd[len(branch)] = 0.0
-            sl[len(branch)] = 0.0
-            for j in range(len(branch) - 1, -1, -1):
+        # worst admissible QoS still to come, over the branches through
+        # each function: before it is assigned, and once it is
+        before_delay = {f: -math.inf for f in self.order}
+        before_loss = dict(before_delay)
+        after_delay = dict(before_delay)
+        after_loss = dict(before_delay)
+        for branch in self.pattern.branches():
+            # sd[j] = admissible QoS still to come once positions < j are
+            # assigned (suffix Qp minima + the cheapest final hop, which
+            # is still ahead until the last position is done)
+            n = len(branch)
+            sd = [0.0] * (n + 1)
+            sl = [0.0] * (n + 1)
+            for j in range(n - 1, -1, -1):
                 sd[j] = sd[j + 1] + min_qp_delay[branch[j]]
                 sl[j] = sl[j + 1] + min_qp_loss[branch[j]]
             last = branch[-1]
-            # the final hop is still ahead until the last position is done
-            for j in range(len(branch)):
+            for j in range(n):
                 sd[j] += dest_min_delay[last]
                 sl[j] += dest_min_loss[last]
-            self.suffix_delay.append(sd)
-            self.suffix_loss.append(sl)
+            for j, fn in enumerate(branch):
+                before_delay[fn] = max(before_delay[fn], sd[j])
+                before_loss[fn] = max(before_loss[fn], sl[j])
+                after_delay[fn] = max(after_delay[fn], sd[j + 1])
+                after_loss[fn] = max(after_loss[fn], sl[j + 1])
+        self._after = {f: (after_delay[f], after_loss[f]) for f in self.order}
         bounds = self.request.qos.bounds
         self.delay_bound = bounds.get("delay", math.inf)
         self.loss_bound = bounds.get("loss", math.inf)
+        # the empty prefix: no assignment ever changes this verdict
+        self._root_feasible = all(
+            before_delay[f] <= self.delay_bound and before_loss[f] <= self.loss_bound
+            for f in self.sources
+        )
+        # (pred, fn, before_delay) per edge, pred None for the sender:
+        # a branch's frontier is the last assigned function before an
+        # unassigned one, or an assigned sink
+        self._frontier = [(None, f, before_delay[f]) for f in self.sources]
+        self._frontier += [(a, b, before_delay[b]) for a, b in self.pattern.edges]
 
     # ------------------------------------------------------------------
+    def _hop(self, u: int, v: int) -> Tuple[float, float]:
+        """(latency, additive loss) of the overlay path u→v, memoized."""
+        hop = self._hops.get((u, v))
+        if hop is None:
+            hop = (self.overlay.latency(u, v), self.overlay.path_loss_add(u, v))
+            self._hops[(u, v)] = hop
+        return hop
+
     def _link_term(self, src: int, dst: int, bandwidth: float) -> float:
         """One service link's ψλ term, mirroring psi_cost exactly."""
         if src == dst or bandwidth <= 0 or self.weights.bandwidth_weight <= 0.0:
@@ -344,64 +389,92 @@ class PatternState:
                 self.counters.incr("pruned_exhausted_link")
                 return None
             cost_delta += term
-        if fn in self.sinks:
+        sink = fn in self.sinks
+        if sink:
             term = self._link_term(meta.peer, self.request.dest_peer, out_rate)
             if math.isinf(term):
                 self.counters.incr("pruned_exhausted_link")
                 return None
             cost_delta += term
         # commit
-        undo = _Undo(fn, [], cost_delta, self.min_res[fn])
+        undo = (fn, self.partial_cost, self.rem_res)
         self.assignment[fn] = cand
         self.rates[fn] = (in_rate, out_rate)
         self.partial_cost += cost_delta
         self.rem_res -= self.min_res[fn]
-        src_peer, dest_peer = self.request.source_peer, self.request.dest_peer
-        for b, j in self.membership[fn]:
-            branch = self.branches[b]
-            prev_peer = src_peer if j == 0 else self.assignment[branch[j - 1]].meta.peer
+        # worst prefix QoS over the paths arriving from each predecessor
+        peer = meta.peer
+        dest_peer = self.request.dest_peer
+        final = None
+        if sink and peer != dest_peer:
+            final = self._hop(peer, dest_peer)
+        if preds:
+            arrivals = [
+                (self.assignment[p].meta.peer, self.worst_delay[p], self.worst_loss[p])
+                for p in preds
+            ]
+        else:
+            arrivals = [(self.request.source_peer, 0.0, 0.0)]
+        worst_delay = worst_loss = -math.inf
+        for prev_peer, prev_delay, prev_loss in arrivals:
             d_delay = cand.qp_delay
             d_loss = cand.qp_loss
-            if prev_peer != meta.peer:
-                d_delay += self.overlay.latency(prev_peer, meta.peer)
-                d_loss += self.overlay.path_loss_add(prev_peer, meta.peer)
-            if j == len(branch) - 1 and meta.peer != dest_peer:
-                d_delay += self.overlay.latency(meta.peer, dest_peer)
-                d_loss += self.overlay.path_loss_add(meta.peer, dest_peer)
-            undo.branch_updates.append((b, d_delay, d_loss, self.next_pos[b]))
-            self.acc_delay[b] += d_delay
-            self.acc_loss[b] += d_loss
-            self.next_pos[b] = j + 1
+            if prev_peer != peer:
+                hop = self._hop(prev_peer, peer)
+                d_delay += hop[0]
+                d_loss += hop[1]
+            if final is not None:
+                d_delay += final[0]
+                d_loss += final[1]
+            delay = prev_delay + d_delay
+            loss = prev_loss + d_loss
+            if delay > worst_delay:
+                worst_delay = delay
+            if loss > worst_loss:
+                worst_loss = loss
+        self.worst_delay[fn] = worst_delay
+        self.worst_loss[fn] = worst_loss
+        after_delay, after_loss = self._after[fn]
+        self._feasible = (
+            self._root_feasible
+            and worst_delay + after_delay <= self.delay_bound
+            and worst_loss + after_loss <= self.loss_bound
+        )
         return undo
 
     def unassign(self, undo: _Undo) -> None:
-        for b, d_delay, d_loss, prev_next in undo.branch_updates:
-            self.acc_delay[b] -= d_delay
-            self.acc_loss[b] -= d_loss
-            self.next_pos[b] = prev_next
-        self.partial_cost -= undo.cost_delta
-        self.rem_res += undo.rem_res_delta
-        del self.rates[undo.fn]
-        del self.assignment[undo.fn]
+        fn, self.partial_cost, self.rem_res = undo
+        del self.rates[fn]
+        del self.assignment[fn]
 
     # ------------------------------------------------------------------
     def qos_feasible(self) -> bool:
-        """Can any completion of the prefix still satisfy ``Qreq``?"""
-        for b in range(len(self.branches)):
-            j = self.next_pos[b]
-            if self.acc_delay[b] + self.suffix_delay[b][j] > self.delay_bound:
-                return False
-            if self.acc_loss[b] + self.suffix_loss[b][j] > self.loss_bound:
-                return False
-        return True
+        """Can any completion of the prefix still satisfy ``Qreq``?
+
+        The verdict of the latest ``assign`` (see the class contract)."""
+        return self._feasible
 
     def cost_lower_bound(self) -> float:
         return self.partial_cost + self.rem_res
 
     def delay_lower_bound(self) -> float:
+        """Worst branch of (prefix delay + admissible remainder), taken
+        over branch frontiers: the max splits into worst prefix + worst
+        suffix at each frontier, bit for bit, by monotonicity."""
+        assigned = self.assignment
         worst = 0.0
-        for b in range(len(self.branches)):
-            lb = self.acc_delay[b] + self.suffix_delay[b][self.next_pos[b]]
+        for fn in self.sinks:
+            if fn in assigned and self.worst_delay[fn] > worst:
+                worst = self.worst_delay[fn]
+        for pred, fn, before in self._frontier:
+            if fn in assigned:
+                continue
+            if pred is None:
+                lb = before
+            elif pred in assigned:
+                lb = self.worst_delay[pred] + before
+            else:
+                continue
             if lb > worst:
                 worst = lb
         return worst
@@ -527,6 +600,7 @@ def _dfs(
         if undo is None:
             continue
         try:
+            # the incremental QoS check: required after every assign
             if not state.qos_feasible():
                 counters.incr("pruned_qos")
                 continue
