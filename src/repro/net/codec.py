@@ -1108,10 +1108,15 @@ class ComposeBegin:
 @_message
 @dataclass(frozen=True)
 class DiscoveryReport:
-    """Source → destination: the root expansion's discovery RTT (phase split)."""
+    """Source → destination: the root expansion's discovery RTT (phase split).
+
+    Sent without waiting for the ack; ``credit`` is half the root
+    probe's termination credit, so the collection window cannot close
+    before the report has landed (see :class:`ReservationReport`)."""
 
     request_id: int
     rtt: float
+    credit: Fraction
 
 
 @_message
@@ -1168,14 +1173,17 @@ class ReservationReport:
     Distributed mode only.  ``peers`` is ``((peer, rtype, amount), ...)``
     and ``links`` is ``((u, v, bandwidth), ...)``; the destination
     accumulates them per request so ψλ selection sees the whole wave's
-    load exactly as the shared-pool engines do.  The sender awaits the
-    ack *before* forwarding the probe's credit anywhere, so the
-    collection window cannot close with a report still in flight.
+    load exactly as the shared-pool engines do.  The report carries
+    ``credit``, half of the admitted probe's termination credit (the
+    probe moves on with the other half without waiting for the ack).
+    The window closes only once the credit sums to 1, so it cannot
+    close with a report still in flight.
     """
 
     request_id: int
     peers: Tuple[Tuple[int, str, float], ...]
     links: Tuple[Tuple[int, int, float], ...]
+    credit: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "peers", _tokens_tuple(self.peers))

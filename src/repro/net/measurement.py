@@ -38,10 +38,15 @@ without touching the simulator substrates:
 different unit systems, so measurements are applied as *ratios*: a
 link's modeled delay is scaled by ``srtt / baseline``, and only when the
 inflation is material (``material_ratio`` and ``min_delta`` both
-exceeded).  Over an unchanged topology the ratio hovers at ~1, no
-override is ever installed, and the view delegates every query verbatim
-to the base overlay — selections are bit-identical to the static
-substrates, which is what the parity suite asserts with measurement on.
+exceeded) and sustained: a link is first re-priced only once every
+sample of the last ``SUSTAIN_S`` seconds read inflated (a windowed
+minimum RTT).  A degraded link slows every exchange; an event-loop
+stall slows only the exchanges in flight during it, which the EWMA
+alone would read as link delay.  Over an unchanged topology the ratio
+hovers at ~1, no override is ever installed, and the view delegates
+every query verbatim to the base overlay — selections are bit-identical
+to the static substrates, which is what the parity suite asserts with
+measurement on.
 """
 
 from __future__ import annotations
@@ -62,6 +67,10 @@ __all__ = [
 ]
 
 Link = Tuple[int, int]
+
+# how long a link's inflation must persist, in every sample, before the
+# plane first re-prices it (see LinkEstimator.sustained)
+SUSTAIN_S = 0.2
 
 
 def _canon(a: int, b: int) -> Link:
@@ -138,7 +147,9 @@ class LinkEstimator:
     gracefully forgets a transient spike instead of pinning it forever.
     """
 
-    __slots__ = ("_cfg", "srtt", "rttvar", "baseline", "samples", "last_at")
+    __slots__ = (
+        "_cfg", "srtt", "rttvar", "baseline", "samples", "last_at", "inflated_since",
+    )
 
     def __init__(self, config: MeasurementConfig) -> None:
         self._cfg = config
@@ -147,6 +158,9 @@ class LinkEstimator:
         self.baseline: Optional[float] = None
         self.samples: int = 0
         self.last_at: float = 0.0
+        # arrival time of the first sample in the current unbroken run of
+        # materially inflated samples (None once any sample reads normal)
+        self.inflated_since: Optional[float] = None
 
     def add_sample(self, rtt: float, now: float) -> None:
         if rtt < 0:
@@ -160,8 +174,29 @@ class LinkEstimator:
             err = rtt - self.srtt
             self.rttvar += self._cfg.beta * (abs(err) - self.rttvar)
             self.srtt += self._cfg.alpha * err
-        if self.baseline is None and self.samples >= self._cfg.warmup:
-            self.baseline = self.srtt
+        if self.baseline is None:
+            if self.samples >= self._cfg.warmup:
+                self.baseline = self.srtt
+        elif (
+            rtt >= self.baseline * self._cfg.material_ratio
+            and rtt - self.baseline >= self._cfg.min_delta
+        ):
+            if self.inflated_since is None:
+                self.inflated_since = now
+        else:
+            self.inflated_since = None
+
+    def sustained(self) -> bool:
+        """True when every sample of the last ``SUSTAIN_S`` seconds was
+        materially inflated, i.e. the windowed minimum RTT is inflated.
+
+        A degraded link slows every exchange that crosses it; an event
+        loop stall slows only the exchanges in flight while it lasts, so
+        one stall shorter than the window cannot satisfy this."""
+        return (
+            self.inflated_since is not None
+            and self.last_at - self.inflated_since >= SUSTAIN_S
+        )
 
     def estimate(self, now: float) -> Optional[float]:
         """Current smoothed RTT with staleness decay applied."""
@@ -569,6 +604,8 @@ class MeasurementPlane:
             and abs(estimate - est.baseline) >= self.config.min_delta
         )
         applied = self._applied.get(link)
+        if material and applied is None and not est.sustained():
+            return  # not yet proven: could be a scheduler stall
         if material:
             if (
                 applied is None

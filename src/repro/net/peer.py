@@ -19,9 +19,13 @@ queues.  Instead every composition carries one unit of *credit*: the
 root probe holds ``Fraction(1)``, each fan-out splits the parent's
 credit exactly among its children, and credit returns to the destination
 on arrival (``FinalProbe``), prune/duplicate/late drop or send failure
-(``CreditReturn``).  The collection window closes exactly when the
-credit sums back to 1 — or when a wall-clock fallback fires, covering
-credit lost with a crashed peer.
+(``CreditReturn``).  Bookkeeping reports carry credit too: the source's
+``DiscoveryReport`` and every admitting peer's ``ReservationReport`` take
+half of their probe's credit and go out as background tasks while the
+probe moves on with the other half.  The collection window closes exactly
+when the credit sums back to 1 — so every report has landed before
+selection runs, with no hop waiting on a report's ack — or when a
+wall-clock fallback fires, covering credit lost with a crashed peer.
 
 **Soft state.**  Reservations made during admission arm per-token expiry
 timers (the paper's soft allocation): a reservation not confirmed by the
@@ -531,8 +535,12 @@ class PeerDaemon:
         lookups = [comps for comps, _ in results]
         max_rtt = max((rtt for _, rtt in results), default=0.0)
         if probe.branch == ():
-            # the root expansion's slowest lookup is the discovery phase
-            await self.endpoint.call(request.dest_peer, codec.DiscoveryReport(rid, max_rtt))
+            # the root expansion's slowest lookup is the discovery phase;
+            # the report takes half the root credit, so the window cannot
+            # close before it lands
+            report = codec.DiscoveryReport(rid, max_rtt, credit / 2)
+            credit -= report.credit
+            self._spawn(self._send_report(request.dest_peer, report))
         entries = [
             (fn, cfg.quota_policy(fn, len(comps)), is_dep)
             for (fn, _, _, is_dep), comps in zip(candidates, lookups)
@@ -788,6 +796,15 @@ class PeerDaemon:
             self._trace("probe_lost", request=rid, to_peer=comp.peer, function=fn)
             await self._return_credit(rid, parent.request.dest_peer, credit, "lost")
 
+    async def _send_report(self, dest_peer: int, report) -> None:
+        """Deliver a credit-carrying report (run as a task, never awaited
+        on the probe path); if it cannot be delivered its credit returns
+        as lost, so the window still closes by credit."""
+        try:
+            await self.endpoint.call(dest_peer, report, retry=self.probe_retry)
+        except RpcError:
+            await self._return_credit(report.request_id, dest_peer, report.credit, "lost")
+
     async def _return_credit(self, rid: int, dest_peer: int, credit: Fraction, reason: str) -> None:
         if credit == 0:
             return
@@ -847,30 +864,34 @@ class PeerDaemon:
         fresh = toks - before
         for token in fresh:
             self._arm_expiry(rid, token)
+        credit = msg.credit
         if fresh and self.distributed and self.peer_id != request.dest_peer:
-            # awaited before this probe's credit can move anywhere, so
-            # the destination has the load deltas before the window can
-            # possibly close (even for probes that die right here)
-            await self._report_reservations(rid, request.dest_peer, fresh)
+            # the load deltas travel with half this probe's credit, so the
+            # destination has them before the window can possibly close
+            # (even for probes that die right here)
+            report = self._reservation_report(rid, fresh, credit / 2)
+            if report is not None:
+                credit -= report.credit
+                self._spawn(self._send_report(request.dest_peer, report))
         if child is None:
-            await self._return_credit(rid, request.dest_peer, msg.credit, "pruned")
+            await self._return_credit(rid, request.dest_peer, credit, "pruned")
             return
         if self._seen.seen((rid, child.dedup_key())):
-            await self._return_credit(rid, request.dest_peer, msg.credit, "duplicate")
+            await self._return_credit(rid, request.dest_peer, credit, "duplicate")
             return
         if child.elapsed > cfg.collect_timeout:
-            await self._return_credit(rid, request.dest_peer, msg.credit, "late")
+            await self._return_credit(rid, request.dest_peer, credit, "late")
             return
         if child.at_sink:
             try:
                 await self.endpoint.call(
-                    request.dest_peer, codec.FinalProbe(rid, child, msg.credit),
+                    request.dest_peer, codec.FinalProbe(rid, child, credit),
                     retry=self.probe_retry,
                 )
             except RpcError:
                 pass  # destination gone: the whole request is dead
             return
-        await self._expand_probe(child, msg.credit, rid)
+        await self._expand_probe(child, credit, rid)
 
     # ------------------------------------------------------------------
     # destination side: collection window
@@ -908,8 +929,10 @@ class PeerDaemon:
 
     async def _on_discovery(self, src: int, msg: codec.DiscoveryReport) -> dict:
         col = self._collections.get(msg.request_id)
-        if col is not None:
-            col.discovery = msg.rtt
+        if col is None or col.done:
+            return {"ok": True}  # straggler after the window closed
+        col.discovery = msg.rtt
+        self._credit(msg.request_id, col, msg.credit)
         return {"ok": True}
 
     async def _on_final(self, src: int, msg: codec.FinalProbe) -> dict:
@@ -938,8 +961,10 @@ class PeerDaemon:
         self._credit(msg.request_id, col, msg.credit)
         return {"ok": True}
 
-    async def _report_reservations(self, rid: int, dest: int, tokens: Set[Tuple]) -> None:
-        """Ship freshly admitted reservations' demands to the destination."""
+    def _reservation_report(
+        self, rid: int, tokens: Set[Tuple], credit: Fraction
+    ) -> Optional[codec.ReservationReport]:
+        """Freshly admitted reservations' demands, or None if there are none."""
         peers: List[Tuple[int, str, float]] = []
         links: List[Tuple[int, int, float]] = []
         for token in sorted(tokens):
@@ -954,15 +979,8 @@ class PeerDaemon:
                 u, v = tuple(sorted(link))
                 links.append((u, v, bw))
         if not peers and not links:
-            return
-        try:
-            await self.endpoint.call(
-                dest,
-                codec.ReservationReport(rid, tuple(peers), tuple(links)),
-                retry=self.probe_retry,
-            )
-        except RpcError:
-            pass  # destination gone: the whole request is dead anyway
+            return None
+        return codec.ReservationReport(rid, tuple(peers), tuple(links), credit)
 
     async def _on_reservation(self, src: int, msg: codec.ReservationReport) -> dict:
         col = self._collections.get(msg.request_id)
@@ -974,10 +992,17 @@ class PeerDaemon:
         for u, v, bw in msg.links:
             key = (int(u), int(v))
             col.wave_link_used[key] = col.wave_link_used.get(key, 0.0) + float(bw)
+        self._credit(msg.request_id, col, msg.credit)
         return {"ok": True}
 
     def _credit(self, rid: int, col: _Collection, credit: Fraction) -> None:
         col.credit += credit
+        if col.credit > 1:
+            # splits are exact, so a surplus means some credit was
+            # counted twice: a protocol bug, reported like a task failure
+            error = f"credit overflow: request {rid} window holds {col.credit}"
+            self.errors.append(error)
+            self._trace("daemon_error", error=error)
         if col.credit >= 1 and not col.done:
             self._spawn(self._finalize(rid, "credit-complete"))
 
@@ -1049,8 +1074,9 @@ class PeerDaemon:
             result.phases["setup_ack"] = ack_time
             result.setup_time = probing_time + ack_time
             keep = self.bcp._tokens_of(result.best, rid)
-        # release every losing reservation cluster-wide
-        await self._broadcast_release(rid, keep)
+        # release every losing reservation cluster-wide; a measurement-only
+        # run keeps nothing, so this one round drops the winner's too
+        await self._broadcast_release(rid, keep if col.confirm else set())
         success = result.best is not None
         if success and col.confirm:
             if cfg.soft_allocation:
@@ -1082,9 +1108,6 @@ class PeerDaemon:
                     if self.tap is not None:
                         self.tap.failure()
                     success = False
-        elif success and not col.confirm:
-            # measurement-only run: drop the winner's reservations too
-            await self._broadcast_release(rid, set())
         result.success = success
         self._collections.pop(rid, None)
         self._lookup_flight.pop(rid, None)  # destination-side flight map

@@ -146,13 +146,16 @@ class TestRoundTrips:
         meta = service_graph.assignment[fn]
         messages = [
             codec.ComposeBegin(1, request_obj, 16, True),
-            codec.DiscoveryReport(1, 0.125),
+            codec.DiscoveryReport(1, 0.125, Fraction(1, 2)),
             codec.ProbeTransfer(
                 1, probe, fn, meta, request_obj.function_graph,
                 (("F001", "F002"),), 4, 0.05, Fraction(1, 3),
             ),
             codec.FinalProbe(1, probe, Fraction(2, 5)),
             codec.CreditReturn(1, Fraction(1, 6), "pruned"),
+            codec.ReservationReport(
+                1, ((3, "cpu", 2.5),), ((3, 4, 1.25),), Fraction(1, 12)
+            ),
             codec.SessionConfirm(1, ((1, "comp", 7), (1, "link", -1, 7))),
             codec.SessionRelease(1, ((1, "comp", 7),)),
             codec.ComposeResult(

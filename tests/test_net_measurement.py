@@ -28,7 +28,12 @@ import pytest
 
 from repro.core.bcp import BCPConfig, NextHopWeights
 from repro.net import ClusterConfig, LiveCluster, MeasurementConfig
-from repro.net.measurement import LinkEstimator, MeasuredOverlayView
+from repro.net.measurement import (
+    SUSTAIN_S,
+    LinkEstimator,
+    MeasuredOverlayView,
+    MeasurementPlane,
+)
 from repro.net.rpc import RetryPolicy
 
 
@@ -188,6 +193,37 @@ def test_view_mutations_fire_cache_listeners():
     assert len(fired) == 3
     assert view.link_scales == {}
     assert view.down_peers == set()
+
+
+def test_scheduler_stall_does_not_reprice_but_degradation_does():
+    """A burst of slow samples shorter than SUSTAIN_S (an event-loop
+    stall delays only the exchanges in flight) must not re-price a
+    link; inflation seen by every sample for SUSTAIN_S must."""
+    base = _overlay()
+    peer = base.router.link_order[0][0]
+    neighbour = sorted(base.graph.neighbors(peer))[0]
+    link = tuple(sorted((peer, neighbour)))
+    clock = [0.0]
+    view = MeasuredOverlayView(base)
+    plane = MeasurementPlane(
+        peer, base, None, MeasurementConfig(), view=view, clock=lambda: clock[0]
+    )
+
+    def sample(rtt, dt=0.01):
+        clock[0] += dt
+        plane.record_rtt(neighbour, rtt, "ProbeTransfer")
+
+    for _ in range(5):
+        sample(0.001)  # baseline locks at 1 ms
+    for _ in range(6):
+        sample(0.020, dt=0.005)  # a 30 ms stall: every sample in it reads 20x
+    assert plane.reprices == 0 and view.link_scales == {}
+    sample(0.001)  # the stall is over
+    start = clock[0]
+    while clock[0] - start < SUSTAIN_S + 0.05:
+        sample(0.006)  # a 6x degradation: every sample stays slow
+    assert plane.reprices >= 1
+    assert link in view.link_scales
 
 
 # ----------------------------------------------------------------------
